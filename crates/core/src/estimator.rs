@@ -37,11 +37,14 @@ pub struct StratumEstimate {
 }
 
 impl StratumEstimate {
-    /// Computes the estimates from a stratum's labeled draws.
-    pub fn from_draws(size: usize, draws: &[Labeled]) -> Self {
+    /// Computes the estimates from a stratum's labeled draws, folded in
+    /// iteration order (so the same order gives the same bits).
+    pub fn from_draws<'a>(size: usize, draws: impl IntoIterator<Item = &'a Labeled>) -> Self {
         let mut moments = StreamingMoments::new();
         let mut positives = 0usize;
+        let mut count = 0usize;
         for d in draws {
+            count += 1;
             if d.matches {
                 positives += 1;
                 moments.push(d.value);
@@ -49,9 +52,9 @@ impl StratumEstimate {
         }
         StratumEstimate {
             size,
-            draws: draws.len(),
+            draws: count,
             positives,
-            p_hat: if draws.is_empty() { 0.0 } else { positives as f64 / draws.len() as f64 },
+            p_hat: if count == 0 { 0.0 } else { positives as f64 / count as f64 },
             mu_hat: moments.mean_or_zero(),
             sigma_hat: moments.sample_std_dev_or_zero(),
         }

@@ -131,7 +131,7 @@ pub struct GroupEstimate {
 }
 
 /// Per-(stratification, stratum, group) sample statistics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CellStats {
     draws: usize,
     positives: usize,
@@ -140,22 +140,49 @@ struct CellStats {
     sigma_hat: f64,
 }
 
-fn cell_stats(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
-    let mut moments = abae_stats::StreamingMoments::new();
-    let mut positives = 0usize;
-    for id in ids {
-        let label = cache.get(id).expect("every sampled id is labeled");
-        if label.group == Some(g) {
-            positives += 1;
-            moments.push(label.value);
+/// Folds one bucket's labels into every group's cell statistics in a
+/// single pass. Each group's values are pushed in label order, so a cell
+/// is the same bits as a per-group scan of the same labels.
+struct CellFold {
+    positives: Vec<usize>,
+    moments: Vec<abae_stats::StreamingMoments>,
+}
+
+impl CellFold {
+    fn new(groups: usize) -> Self {
+        Self {
+            positives: vec![0; groups],
+            moments: vec![abae_stats::StreamingMoments::new(); groups],
         }
     }
-    CellStats {
-        draws: ids.len(),
-        positives,
-        p_hat: if ids.is_empty() { 0.0 } else { positives as f64 / ids.len() as f64 },
-        mu_hat: moments.mean_or_zero(),
-        sigma_hat: moments.sample_std_dev_or_zero(),
+
+    /// Writes group `g`'s statistics over `labels` into `out[g]`. Labels
+    /// of no group (or of a group outside `out`) count as draws only.
+    fn fold<'a>(
+        &mut self,
+        labels: impl IntoIterator<Item = &'a GroupLabel>,
+        out: &mut [CellStats],
+    ) {
+        self.positives.fill(0);
+        self.moments.fill(abae_stats::StreamingMoments::new());
+        let mut draws = 0usize;
+        for label in labels {
+            draws += 1;
+            if let Some(g) = label.group.map(usize::from).filter(|&g| g < self.moments.len()) {
+                self.positives[g] += 1;
+                self.moments[g].push(label.value);
+            }
+        }
+        for ((cell, &positives), moments) in out.iter_mut().zip(&self.positives).zip(&self.moments)
+        {
+            *cell = CellStats {
+                draws,
+                positives,
+                p_hat: if draws == 0 { 0.0 } else { positives as f64 / draws as f64 },
+                mu_hat: moments.mean_or_zero(),
+                sigma_hat: moments.sample_std_dev_or_zero(),
+            };
+        }
     }
 }
 
@@ -260,7 +287,7 @@ pub fn groupby_single_oracle<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<GroupEstimate>, GroupByError> {
     let run = single_oracle_sample(proxies, oracle, cfg, rng)?;
-    let estimates = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
+    let estimates = single_oracle_estimates(&run);
     Ok(estimates
         .into_iter()
         .enumerate()
@@ -299,28 +326,37 @@ pub fn groupby_single_oracle_with_ci<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
 /// run state. Pure in the run state; all randomness comes from `rng`, so
 /// the blocking entry point can pass the caller's stream while progressive
 /// snapshots pass a forked one.
+///
+/// Each `(stratification, stratum)` bucket is flattened once into its
+/// labels; a replicate resamples every bucket with replacement, in bucket
+/// order, folding each draw straight into every group's cell, and reruns
+/// the point estimator over the resampled cells.
 fn single_oracle_bootstrap_cis<R: Rng + ?Sized>(
     run: &SingleOracleRun,
     bootstrap: &BootstrapConfig,
     rng: &mut R,
 ) -> Vec<GroupEstimateWithCi> {
-    let points = single_oracle_estimates(&run.buckets, &run.cache, &run.stratifications);
-    let g = points.len();
+    let g = run.stratifications.len();
+    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(Stratification::sizes).collect();
+    let buckets: Vec<Vec<GroupLabel>> = run
+        .buckets
+        .iter()
+        .flatten()
+        .map(|ids| ids.iter().map(|id| run.cache[id]).collect())
+        .collect();
+    let mut fold = CellFold::new(g);
+    let mut cells = vec![CellStats::default(); buckets.len() * g];
+    for (labels, out) in buckets.iter().zip(cells.chunks_mut(g)) {
+        fold.fold(labels, out);
+    }
+    let points = estimates_from_cells(&cells, &sizes);
     let mut replicates: Vec<Vec<f64>> = vec![Vec::with_capacity(bootstrap.trials); g];
-    let mut resampled = run.buckets.clone();
     for _ in 0..bootstrap.trials {
-        for (res_strat, buckets) in resampled.iter_mut().zip(&run.buckets) {
-            for (res_bucket, ids) in res_strat.iter_mut().zip(buckets) {
-                res_bucket.clear();
-                if !ids.is_empty() {
-                    for _ in 0..ids.len() {
-                        res_bucket.push(ids[rng.gen_range(0..ids.len())]);
-                    }
-                }
-            }
+        for (labels, out) in buckets.iter().zip(cells.chunks_mut(g)) {
+            let n = labels.len();
+            fold.fold((0..n).map(|_| &labels[rng.gen_range(0..n)]), out);
         }
-        let est = single_oracle_estimates(&resampled, &run.cache, &run.stratifications);
-        for (reps, e) in replicates.iter_mut().zip(est) {
+        for (reps, e) in replicates.iter_mut().zip(estimates_from_cells(&cells, &sizes)) {
             reps.push(e);
         }
     }
@@ -538,20 +574,28 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
         // Pilot estimates and allocations.
         let mut t_hats: Vec<Vec<f64>> = Vec::with_capacity(g);
         let mut err_unit: Vec<Vec<f64>> = vec![vec![f64::INFINITY; g]; g];
+        let mut fold = CellFold::new(g);
         for (l, err_row) in err_unit.iter_mut().enumerate() {
             let sizes = run.stratifications[l].sizes();
+            // cells[kk][gg]: group gg's statistics in stratum kk.
+            let cells: Vec<Vec<CellStats>> = run.buckets[l]
+                .iter()
+                .map(|ids| {
+                    let mut out = vec![CellStats::default(); g];
+                    fold.fold(ids.iter().map(|id| &run.cache[id]), &mut out);
+                    out
+                })
+                .collect();
+            let group_cells =
+                |gg: usize| -> Vec<CellStats> { cells.iter().map(|c| c[gg]).collect() };
             // Allocation optimized for stratification l's own group.
-            let own: Vec<CellStats> =
-                (0..k).map(|kk| cell_stats(&run.buckets[l][kk], &run.cache, l as u16)).collect();
+            let own = group_cells(l);
             let t = optimal_allocation(
                 &own.iter().map(|c| c.p_hat).collect::<Vec<_>>(),
                 &own.iter().map(|c| c.sigma_hat).collect::<Vec<_>>(),
             );
             for (gg, slot) in err_row.iter_mut().enumerate() {
-                let cells: Vec<CellStats> = (0..k)
-                    .map(|kk| cell_stats(&run.buckets[l][kk], &run.cache, gg as u16))
-                    .collect();
-                *slot = per_unit_error(&cells, &sizes, &t);
+                *slot = per_unit_error(&group_cells(gg), &sizes, &t);
             }
             t_hats.push(t);
         }
@@ -607,50 +651,54 @@ fn single_oracle_chunked<O: GroupOracle + ?Sized, R: Rng + ?Sized>(
     Ok(ChunkedSingleOracle { run, stopped, oracle_calls: oracle.calls() - calls_before })
 }
 
-/// Final single-oracle estimates: per group, inverse-variance weighting
-/// across stratifications (§4.5 "Single Oracle"). Pure function of the
-/// sampled buckets and cached labels, so the bootstrap can re-evaluate it
-/// on resampled buckets.
-fn single_oracle_estimates(
-    buckets: &[Vec<Vec<usize>>],
-    cache: &BTreeMap<usize, GroupLabel>,
-    stratifications: &[Stratification],
-) -> Vec<f64> {
-    let g = stratifications.len();
-    let k = buckets.first().map(Vec::len).unwrap_or(0);
+/// Final single-oracle point estimates of a sampled run.
+fn single_oracle_estimates(run: &SingleOracleRun) -> Vec<f64> {
+    let g = run.stratifications.len();
+    let sizes: Vec<Vec<usize>> = run.stratifications.iter().map(Stratification::sizes).collect();
+    let mut fold = CellFold::new(g);
+    let mut cells = vec![CellStats::default(); run.buckets.iter().map(Vec::len).sum::<usize>() * g];
+    for (ids, out) in run.buckets.iter().flatten().zip(cells.chunks_mut(g)) {
+        fold.fold(ids.iter().map(|id| &run.cache[id]), out);
+    }
+    estimates_from_cells(&cells, &sizes)
+}
+
+/// The single-oracle estimator: per group, inverse-variance weighting
+/// across stratifications (§4.5 "Single Oracle"). `cells[(l·K + k)·G + g]`
+/// holds group `g`'s statistics in stratum `k` of stratification `l`, and
+/// `sizes[l][k]` that stratum's size. Pure in the cells, so the point
+/// estimate and every bootstrap replicate share it.
+fn estimates_from_cells(cells: &[CellStats], sizes: &[Vec<usize>]) -> Vec<f64> {
+    let g = sizes.len();
+    let k = sizes.first().map(Vec::len).unwrap_or(0);
     let mut out = Vec::with_capacity(g);
+    let mut strata_est: Vec<StratumEstimate> = Vec::with_capacity(k);
     for gg in 0..g {
         let mut weighted = 0.0;
         let mut weight_total = 0.0;
         let mut fallback_sum = 0.0;
         let mut fallback_n = 0usize;
-        for l in 0..g {
-            let sizes = stratifications[l].sizes();
-            let cells: Vec<CellStats> =
-                (0..k).map(|kk| cell_stats(&buckets[l][kk], cache, gg as u16)).collect();
+        for (l, sizes) in sizes.iter().enumerate() {
+            let group_cells = || cells[l * k * g..(l + 1) * k * g].iter().skip(gg).step_by(g);
             // Point estimate from stratification l.
-            let strata_est: Vec<StratumEstimate> = cells
-                .iter()
-                .zip(&sizes)
-                .map(|(c, &s)| StratumEstimate {
-                    size: s,
-                    draws: c.draws,
-                    positives: c.positives,
-                    p_hat: c.p_hat,
-                    mu_hat: c.mu_hat,
-                    sigma_hat: c.sigma_hat,
-                })
-                .collect();
+            strata_est.clear();
+            strata_est.extend(group_cells().zip(sizes).map(|(c, &s)| StratumEstimate {
+                size: s,
+                draws: c.draws,
+                positives: c.positives,
+                p_hat: c.p_hat,
+                mu_hat: c.mu_hat,
+                sigma_hat: c.sigma_hat,
+            }));
             let est = combine_estimate(crate::config::Aggregate::Avg, &strata_est);
             // Variance estimate: Σ_k ŵ²σ̂²/B_k over positive draws.
-            let w_total: f64 =
-                cells.iter().zip(&sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
+            let w_total: f64 = group_cells().zip(sizes).map(|(c, &s)| s as f64 * c.p_hat).sum();
             if w_total <= 0.0 {
                 continue;
             }
             let mut var = 0.0;
             let mut usable = true;
-            for (c, &s) in cells.iter().zip(&sizes) {
+            for (c, &s) in group_cells().zip(sizes) {
                 let w = s as f64 * c.p_hat / w_total;
                 if w == 0.0 {
                     continue;
@@ -1334,5 +1382,172 @@ mod ci_tests {
             assert_eq!(a.group, b.group);
             assert_eq!(a.estimate, b.estimate);
         }
+    }
+
+    #[test]
+    fn single_oracle_answers_are_pinned_bit_for_bit() {
+        // Point estimates and CIs are pinned to the bit: the resampler
+        // draws the same indices as bucket cloning, so neither may move.
+        let t = two_group_table(20_000, 21);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 3000, ..Default::default() };
+        let bs = BootstrapConfig { trials: 200, alpha: 0.05 };
+        let mut rng = StdRng::seed_from_u64(8);
+        let got = groupby_single_oracle_with_ci(&proxies, &oracle, &cfg, &bs, &mut rng).unwrap();
+        let bits: Vec<[u64; 3]> = got
+            .iter()
+            .map(|e| {
+                let ci = e.ci.expect("non-empty groups");
+                [e.estimate.to_bits(), ci.lo.to_bits(), ci.hi.to_bits()]
+            })
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                [0x4023f76600811fff, 0x4023e698b9ebe2b3, 0x402409c99b80cd37],
+                [0x403902b73cdcd5b5, 0x4038faab301e6824, 0x403909cc1b739d07],
+            ]
+        );
+        let plain =
+            groupby_single_oracle(&proxies, &oracle, &cfg, &mut StdRng::seed_from_u64(9)).unwrap();
+        let plain: Vec<u64> = plain.iter().map(|e| e.estimate.to_bits()).collect();
+        assert_eq!(plain, [0x402403be41ed94d7, 0x4038ff4171600695]);
+    }
+
+    /// Group `g`'s statistics over a bucket, scanning it once per group:
+    /// the reference for `CellFold`'s one-pass fold.
+    fn reference_cell(ids: &[usize], cache: &BTreeMap<usize, GroupLabel>, g: u16) -> CellStats {
+        let mut moments = abae_stats::StreamingMoments::new();
+        let mut positives = 0usize;
+        for id in ids {
+            if cache[id].group == Some(g) {
+                positives += 1;
+                moments.push(cache[id].value);
+            }
+        }
+        CellStats {
+            draws: ids.len(),
+            positives,
+            p_hat: if ids.is_empty() { 0.0 } else { positives as f64 / ids.len() as f64 },
+            mu_hat: moments.mean_or_zero(),
+            sigma_hat: moments.sample_std_dev_or_zero(),
+        }
+    }
+
+    /// The bucket-cloning reference resampler: every replicate resamples
+    /// each bucket's record ids and rescans them once per group.
+    fn reference_single_oracle_cis<R: Rng + ?Sized>(
+        run: &SingleOracleRun,
+        bootstrap: &BootstrapConfig,
+        rng: &mut R,
+    ) -> Vec<Option<abae_stats::bootstrap::ConfidenceInterval>> {
+        let g = run.stratifications.len();
+        let sizes: Vec<Vec<usize>> =
+            run.stratifications.iter().map(Stratification::sizes).collect();
+        let cells_of = |buckets: &[Vec<Vec<usize>>]| -> Vec<CellStats> {
+            buckets
+                .iter()
+                .flatten()
+                .flat_map(|ids| (0..g).map(move |gg| reference_cell(ids, &run.cache, gg as u16)))
+                .collect()
+        };
+        let mut replicates: Vec<Vec<f64>> = vec![Vec::new(); g];
+        let mut resampled = run.buckets.clone();
+        for _ in 0..bootstrap.trials {
+            for (res_strat, buckets) in resampled.iter_mut().zip(&run.buckets) {
+                for (res_bucket, ids) in res_strat.iter_mut().zip(buckets) {
+                    res_bucket.clear();
+                    for _ in 0..ids.len() {
+                        res_bucket.push(ids[rng.gen_range(0..ids.len())]);
+                    }
+                }
+            }
+            for (reps, e) in
+                replicates.iter_mut().zip(estimates_from_cells(&cells_of(&resampled), &sizes))
+            {
+                reps.push(e);
+            }
+        }
+        replicates
+            .into_iter()
+            .map(|mut reps| abae_stats::bootstrap::percentile_ci(&mut reps, bootstrap.alpha))
+            .collect()
+    }
+
+    /// Single-oracle GROUP BY over `seeds` samples: the flat resampler's
+    /// CIs are bit-identical to bucket cloning's on the same stream.
+    fn single_oracle_identity(seeds: u64, bs: BootstrapConfig) {
+        let t = two_group_table(20_000, 31);
+        let oracle = abae_data::SingleGroupOracle::new(&t).unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 1500, ..Default::default() };
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let run = single_oracle_sample(&proxies, &oracle, &cfg, &mut rng).unwrap();
+            let flat: Vec<_> = single_oracle_bootstrap_cis(&run, &bs, &mut rng.clone())
+                .into_iter()
+                .map(|e| e.ci)
+                .collect();
+            let cloned = reference_single_oracle_cis(&run, &bs, &mut rng);
+            assert_eq!(flat, cloned, "seed {seed}");
+        }
+    }
+
+    /// Multiple-oracle GROUP BY over `seeds` samples: each group's CI (the
+    /// scalar kernel) matches the record-by-record reference in coverage
+    /// and width.
+    fn multi_oracle_equivalence(seeds: u64) {
+        use crate::bootstrap::reference::{self, CiComparison};
+        use crate::config::Aggregate;
+        let t = two_group_table(20_000, 31);
+        let truth: Vec<f64> = (0..2).map(|g| t.exact_group_avg(g).unwrap()).collect();
+        let o0 = PredicateOracle::new(&t, "g0").unwrap();
+        let o1 = PredicateOracle::new(&t, "g1").unwrap();
+        let proxies: Vec<&[f64]> = t.predicates().iter().map(|p| p.proxy()).collect();
+        let cfg = GroupByConfig { budget: 1500, ..Default::default() };
+        let bs = BootstrapConfig::default();
+        let mut cmp: [CiComparison; 2] = Default::default();
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (_, draws, sizes) =
+                multi_oracle_run(&proxies, &[&o0, &o1], &cfg, &mut rng).unwrap();
+            for (gg, c) in cmp.iter_mut().enumerate() {
+                let (draws, sizes) = (&draws[gg], &sizes[gg]);
+                let kernel = crate::bootstrap::stratified_bootstrap_ci(
+                    draws,
+                    sizes,
+                    Aggregate::Avg,
+                    &bs,
+                    &mut rng,
+                );
+                let refs = reference::stratified_bootstrap_cis(
+                    draws,
+                    sizes,
+                    &[Aggregate::Avg],
+                    &bs,
+                    &mut rng,
+                );
+                c.add(truth[gg], kernel, refs[0]);
+            }
+        }
+        for (gg, c) in cmp.iter().enumerate() {
+            c.assert_equivalent(&format!("multi-oracle group {gg}"));
+        }
+    }
+
+    #[test]
+    fn groupby_cis_match_the_reference_resamplers() {
+        // Bucket cloning is slow unoptimised: few seeds and trials here,
+        // the full suite runs 200 seeds of 1000 trials.
+        single_oracle_identity(4, BootstrapConfig { trials: 200, alpha: 0.05 });
+        multi_oracle_equivalence(crate::bootstrap::reference::REDUCED_SEEDS);
+    }
+
+    #[test]
+    #[ignore = "full equivalence suite; run with --release -- --ignored"]
+    fn groupby_cis_match_the_reference_resamplers_full() {
+        single_oracle_identity(crate::bootstrap::reference::FULL_SEEDS, BootstrapConfig::default());
+        multi_oracle_equivalence(crate::bootstrap::reference::FULL_SEEDS);
     }
 }

@@ -38,8 +38,13 @@ impl Stratification {
     pub fn by_proxy_quantile(scores: &[f64], k: usize) -> Self {
         assert!(k > 0, "stratification needs at least one stratum");
         let n = scores.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        // A stable sort on the integer key keeps ties in index order, so
+        // the order is `total_cmp` then index. Keyword proxies have few
+        // distinct scores, and a stable sort takes their ties as runs.
+        let mut keyed: Vec<(i64, usize)> =
+            scores.iter().enumerate().map(|(i, &x)| (total_order_key(x), i)).collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        let order: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
 
         let base = n / k;
         let extra = n % k;
@@ -118,6 +123,14 @@ impl Stratification {
             })
             .collect()
     }
+}
+
+/// An integer whose order is [`f64::total_cmp`]'s: flipping the
+/// magnitude bits of negative values makes the sign-magnitude encoding
+/// order like two's complement, so −NaN < −∞ < … < −0 < +0 < … < +∞ < NaN.
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
 }
 
 /// Exact per-stratum quantities (for analysis, not for query execution).
@@ -236,7 +249,59 @@ mod tests {
         }
     }
 
+    /// The reference order: `total_cmp` on the score, then record index.
+    fn comparator_order(scores: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]).then(a.cmp(&b)));
+        order
+    }
+
+    /// Maps a drawn `(pick, x, payload)` to a score from a small pool of
+    /// awkward values — ties, both zeros, both infinities, NaNs of both
+    /// signs and several payloads — or to an ordinary `x`.
+    fn awkward_score((pick, x, payload): (usize, f64, u64)) -> f64 {
+        const POOL: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.5,
+            -0.5,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        match pick {
+            10 => -f64::NAN,
+            11 => f64::from_bits(f64::NAN.to_bits() | payload),
+            12 | 13 => x,
+            i => POOL[i],
+        }
+    }
+
+    #[test]
+    fn keyed_order_matches_total_cmp_on_special_values() {
+        let scores =
+            [f64::NAN, 1.0, -0.0, 0.0, f64::NEG_INFINITY, -f64::NAN, f64::INFINITY, 1.0, -0.0];
+        let s = Stratification::by_proxy_quantile(&scores, 1);
+        assert_eq!(s.stratum(0), comparator_order(&scores).as_slice());
+        assert_eq!(s.stratum(0), &[5, 4, 2, 8, 3, 1, 7, 6, 0]);
+    }
+
     proptest! {
+        #[test]
+        fn keyed_sort_matches_the_comparator_sort(
+            draws in proptest::collection::vec((0usize..14, -2.0f64..2.0, 0u64..4), 0..200),
+            k in 1usize..8,
+        ) {
+            let scores: Vec<f64> = draws.into_iter().map(awkward_score).collect();
+            let order = comparator_order(&scores);
+            let s = Stratification::by_proxy_quantile(&scores, k);
+            let flat: Vec<usize> = s.strata().iter().flatten().copied().collect();
+            prop_assert_eq!(flat, order);
+        }
+
         #[test]
         fn partition_invariants(
             scores in proptest::collection::vec(0.0f64..1.0, 0..300),

@@ -20,6 +20,7 @@
 //! partition, per thread), folding the partial states through `merge`
 //! reaches the same canonical state as one-shot accumulation.
 
+use crate::bootstrap::BootstrapStratum;
 use crate::estimator::StratumEstimate;
 use abae_data::Labeled;
 
@@ -104,9 +105,10 @@ impl StratumStats {
             .sum()
     }
 
-    /// The accumulated draws in canonical order, as bootstrap input.
-    pub fn labeled(&self) -> Vec<Labeled> {
-        self.draws.iter().map(|d| d.label).collect()
+    /// The bootstrap input of the accumulated draws: the draw count and
+    /// the positive values in canonical order.
+    pub(crate) fn bootstrap_stratum(&self) -> BootstrapStratum {
+        BootstrapStratum::from_draws(self.size, self.draws.iter().map(|d| &d.label))
     }
 
     /// The accumulated draws with their record ids, in canonical order.
@@ -117,7 +119,7 @@ impl StratumStats {
     /// Derives the plug-in estimates (`p̂, μ̂, σ̂`) from the canonical
     /// sequence — bit-identical for every chunking of the same draws.
     pub fn estimate(&self) -> StratumEstimate {
-        StratumEstimate::from_draws(self.size, &self.labeled())
+        StratumEstimate::from_draws(self.size, self.draws.iter().map(|d| &d.label))
     }
 
     /// The monoid operation: sorted multiset union of two partial states

@@ -20,7 +20,7 @@
 //! derived from the budget spent, so the final snapshot is bit-identical
 //! to a blocking run at any thread count and any chunk size.
 
-use crate::bootstrap::stratified_bootstrap_cis;
+use crate::bootstrap::{bootstrap_cis, stratified_bootstrap_cis, BootstrapStratum};
 use crate::config::{AbaeConfig, Aggregate, ConfigError, Rounding, SampleReuse};
 use crate::estimator::{combine_estimate, StratumEstimate};
 use crate::pipeline;
@@ -439,18 +439,18 @@ pub(crate) fn snapshot_rng(budget_spent: u64) -> StdRng {
 
 /// Builds one intermediate snapshot from the merged per-stratum states:
 /// estimates via [`StratumStats::estimate`] + [`combine_estimate`], CIs by
-/// bootstrapping the canonical-order draws with the forked snapshot RNG.
+/// bootstrapping the canonical-order positives with the forked snapshot
+/// RNG.
 fn snapshot_from_stats(
     stats: &[StratumStats],
-    sizes: &[usize],
     aggs: &[Aggregate],
     config: &AbaeConfig,
     budget_spent: u64,
 ) -> Snapshot {
     let estimates: Vec<StratumEstimate> = stats.iter().map(StratumStats::estimate).collect();
-    let samples: Vec<Vec<Labeled>> = stats.iter().map(StratumStats::labeled).collect();
+    let strata: Vec<BootstrapStratum> = stats.iter().map(StratumStats::bootstrap_stratum).collect();
     let mut fork = snapshot_rng(budget_spent);
-    let cis = stratified_bootstrap_cis(&samples, sizes, aggs, &config.bootstrap, &mut fork);
+    let cis = bootstrap_cis(&strata, aggs, &config.bootstrap, &mut fork);
     let answers = aggs
         .iter()
         .zip(cis)
@@ -503,7 +503,7 @@ pub fn run_abae_multi_progressive<O: Oracle, R: Rng + ?Sized>(
     let mut stopping: Option<Snapshot> = None;
     let run = {
         let mut observe = |stats: &[StratumStats], spent: u64, pilot_complete: bool| -> bool {
-            let mut snap = snapshot_from_stats(stats, &sizes, aggs, config, spent);
+            let mut snap = snapshot_from_stats(stats, aggs, config, spent);
             // The stopping rule only applies once the pilot stage is
             // complete: partial-pilot CIs can degenerate to zero width
             // (e.g. an all-negative first stratum) and would stop bogusly.
@@ -966,5 +966,164 @@ mod tests {
             }
         }
         assert!(covered as f64 / trials as f64 > 0.8, "coverage {covered}/{trials}");
+    }
+
+    #[test]
+    fn blocking_point_estimates_are_pinned_bit_for_bit() {
+        // Bootstrap changes may move CI bounds, never point estimates:
+        // these bits must survive any change to the CI path.
+        let (scores, labels, values) = make_population(10_000);
+        let oracle = oracle_for(labels, values);
+        let config = AbaeConfig { budget: 800, ..Default::default() };
+        let aggs = [Aggregate::Count, Aggregate::Sum, Aggregate::Avg];
+        let mut rng = StdRng::seed_from_u64(3);
+        let r = run_abae_multi_with_ci(&scores, &oracle, &config, &aggs, &mut rng).unwrap();
+        let bits: Vec<u64> = r.answers.iter().map(|a| a.estimate.to_bits()).collect();
+        assert_eq!(bits, [0x40af400000000000, 0x40d29a8fd2dad6f8, 0x40130cdd00e01785]);
+    }
+
+    /// A noisy population for the bootstrap equivalence suites: the match
+    /// probability rises with the proxy score and the statistic is
+    /// right-skewed, so strata differ in both `p_k` and `μ_k`. Returns the
+    /// scores, labels, values and the exact (COUNT, SUM, AVG).
+    fn noisy_population(n: usize) -> (Vec<f64>, Vec<bool>, Vec<f64>, [f64; 3]) {
+        let mut rng = StdRng::seed_from_u64(99);
+        let scores: Vec<f64> = (0..n).map(|_| rng.gen()).collect();
+        let labels: Vec<bool> =
+            scores.iter().map(|&s| rng.gen::<f64>() < 0.05 + 0.6 * s * s).collect();
+        let values: Vec<f64> =
+            scores.iter().map(|&s| 1.0 + 4.0 * s + 10.0 * rng.gen::<f64>().powi(4)).collect();
+        let count = labels.iter().filter(|&&l| l).count() as f64;
+        let sum: f64 = labels.iter().zip(&values).filter(|(&l, _)| l).map(|(_, v)| v).sum();
+        (scores, labels, values, [count, sum, sum / count])
+    }
+
+    const EQUIVALENCE_AGGS: [Aggregate; 3] = [Aggregate::Count, Aggregate::Sum, Aggregate::Avg];
+
+    /// Multi-aggregate blocking CIs: kernel vs record-by-record reference
+    /// over the same two-stage samples, one sample per seed.
+    fn scalar_equivalence(seeds: u64) {
+        use crate::bootstrap::reference::{self, CiComparison};
+        let (scores, labels, values, truth) = noisy_population(20_000);
+        let oracle = oracle_for(labels, values);
+        let config = AbaeConfig { budget: 600, ..Default::default() };
+        let strat = Stratification::by_proxy_quantile(&scores, config.strata);
+        let sizes = strat.sizes();
+        let mut cmp: [CiComparison; 3] = Default::default();
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let run = run_two_stage(&strat, &oracle, &config, Aggregate::Avg, &mut rng).unwrap();
+            let aggs = &EQUIVALENCE_AGGS;
+            let kernel =
+                stratified_bootstrap_cis(&run.samples, &sizes, aggs, &config.bootstrap, &mut rng);
+            let refs = reference::stratified_bootstrap_cis(
+                &run.samples,
+                &sizes,
+                aggs,
+                &config.bootstrap,
+                &mut rng,
+            );
+            for (i, c) in cmp.iter_mut().enumerate() {
+                c.add(truth[i], kernel[i], refs[i]);
+            }
+        }
+        for (c, agg) in cmp.iter().zip(EQUIVALENCE_AGGS) {
+            c.assert_equivalent(&format!("blocking {agg:?}"));
+        }
+    }
+
+    /// `UNTIL CI WIDTH` runs: at the snapshot where the kernel's AVG CI
+    /// meets the target, the reference bootstraps the same merged states
+    /// with the same forked stream; runs that never meet it compare the
+    /// final (blocking) CIs instead.
+    fn until_equivalence(seeds: u64) {
+        use crate::bootstrap::reference::{self, CiComparison};
+        let (scores, labels, values, truth) = noisy_population(20_000);
+        let oracle = oracle_for(labels, values);
+        let config = AbaeConfig { budget: 1_200, ..Default::default() };
+        let strat = Stratification::by_proxy_quantile(&scores, config.strata);
+        let sizes = strat.sizes();
+        let aggs = [Aggregate::Avg, Aggregate::Count, Aggregate::Sum];
+        // The AVG CI ends the budget near this width, so about three runs
+        // in four meet the target early and the rest run to completion.
+        let target = 0.66;
+        let mut cmp: [CiComparison; 3] = Default::default();
+        let mut stopped_early = 0;
+        for seed in 0..seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stop = None;
+            let mut observe = |stats: &[StratumStats], spent: u64, pilot_complete: bool| {
+                let snap = snapshot_from_stats(stats, &aggs, &config, spent);
+                let hit =
+                    pilot_complete && snap.answers[0].ci.is_some_and(|ci| ci.width() < target);
+                if hit {
+                    stop = Some((stats.to_vec(), spent, snap));
+                }
+                hit
+            };
+            let run = two_stage_chunked(&strat, &oracle, &config, 100, &mut rng, &mut observe);
+            let (kernel, refs) = match stop {
+                Some((stats, spent, snap)) => {
+                    stopped_early += 1;
+                    let samples: Vec<Vec<Labeled>> =
+                        stats.iter().map(|s| s.draws().iter().map(|d| d.label).collect()).collect();
+                    let kernel: Vec<_> = snap.answers.iter().map(|a| a.ci).collect();
+                    let mut fork = snapshot_rng(spent);
+                    let refs = reference::stratified_bootstrap_cis(
+                        &samples,
+                        &sizes,
+                        &aggs,
+                        &config.bootstrap,
+                        &mut fork,
+                    );
+                    (kernel, refs)
+                }
+                None => {
+                    let b = &config.bootstrap;
+                    let kernel = stratified_bootstrap_cis(&run.samples, &sizes, &aggs, b, &mut rng);
+                    let refs = reference::stratified_bootstrap_cis(
+                        &run.samples,
+                        &sizes,
+                        &aggs,
+                        b,
+                        &mut rng,
+                    );
+                    (kernel, refs)
+                }
+            };
+            for (i, c) in cmp.iter_mut().enumerate() {
+                // aggs is (AVG, COUNT, SUM); truth is (COUNT, SUM, AVG).
+                c.add(truth[(i + 2) % 3], kernel[i], refs[i]);
+            }
+        }
+        assert!(
+            stopped_early * 4 >= seeds && stopped_early < seeds,
+            "{stopped_early} of {seeds} runs stopped early: the target tests too little"
+        );
+        for (c, agg) in cmp.iter().zip(aggs) {
+            c.assert_equivalent(&format!("UNTIL {agg:?}"));
+        }
+    }
+
+    #[test]
+    fn multi_aggregate_cis_match_the_reference_bootstrap() {
+        scalar_equivalence(crate::bootstrap::reference::REDUCED_SEEDS);
+    }
+
+    #[test]
+    #[ignore = "full equivalence suite; run with --release -- --ignored"]
+    fn multi_aggregate_cis_match_the_reference_bootstrap_full() {
+        scalar_equivalence(crate::bootstrap::reference::FULL_SEEDS);
+    }
+
+    #[test]
+    fn until_final_snapshot_cis_match_the_reference_bootstrap() {
+        until_equivalence(crate::bootstrap::reference::REDUCED_SEEDS);
+    }
+
+    #[test]
+    #[ignore = "full equivalence suite; run with --release -- --ignored"]
+    fn until_final_snapshot_cis_match_the_reference_bootstrap_full() {
+        until_equivalence(crate::bootstrap::reference::FULL_SEEDS);
     }
 }

@@ -77,14 +77,20 @@ fn rich_table(n: usize, seed: u64) -> Table {
 
 /// The three storage variants of one logical table.
 fn variants(t: &Table) -> Vec<(&'static str, Table)> {
+    // Tests run in parallel threads of one process and save tables of the
+    // same name: each call gets its own directory, or one test's cleanup
+    // deletes the file another is loading.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let schema = t.schema();
     let rows = Table::from_rows(t.name(), &schema, t.rows()).expect("row roundtrip");
-    let dir = std::env::temp_dir().join(format!("abae-columnar-diff-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("abae-columnar-diff-{}-{call}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(format!("{}.abcol", t.name()));
     t.save_binary(&path).expect("save");
     let binary = Table::load_binary(t.name(), &path).expect("load");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
     vec![("built", t.clone()), ("rows", rows), ("binary", binary)]
 }
 
